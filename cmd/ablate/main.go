@@ -26,15 +26,16 @@ func main() {
 		meas     = flag.Uint64("meas", 500_000, "measured references per core")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), consim.ParallelFlagUsage)
-		shards   = flag.Int("shards", 1, consim.ShardsFlagUsage)
 	)
-	var sflags consim.SampleFlags
-	sflags.Register(flag.CommandLine)
-	var pflags consim.PdesFlags
-	pflags.Register(flag.CommandLine)
+	var eflags consim.EngineFlags
+	eflags.Register(flag.CommandLine)
 	var ocli obs.CLI
 	ocli.Register(flag.CommandLine)
 	flag.Parse()
+	if err := eflags.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "ablate:", err)
+		os.Exit(1)
+	}
 
 	o, ostop, err := ocli.Start(os.Stderr)
 	if err != nil {
@@ -49,21 +50,12 @@ func main() {
 	if *exp != "" {
 		ids = strings.Split(*exp, ",")
 	}
-	if err := consim.ValidateShards(*shards); err != nil {
-		ostop() //nolint:errcheck // the primary error wins
-		fmt.Fprintln(os.Stderr, "ablate:", err)
-		os.Exit(1)
-	}
-	if err := pflags.CheckExclusive(*shards, sflags.Config()); err != nil {
-		ostop() //nolint:errcheck // the primary error wins
-		fmt.Fprintln(os.Stderr, "ablate:", err)
-		os.Exit(1)
-	}
-	r := consim.NewRunner(consim.RunnerOptions{
+	opt := consim.RunnerOptions{
 		Scale: *scale, WarmupRefs: *warm, MeasureRefs: *meas, Seed: *seed,
-		Parallel: *parallel, Shards: *shards, Sample: sflags.Config(),
-		Pdes: pflags.Workers(), PdesWindow: pflags.Window(), Obs: o,
-	})
+		Parallel: *parallel, Obs: o,
+	}
+	eflags.ApplyRunner(&opt)
+	r := consim.NewRunner(opt)
 	for _, id := range ids {
 		start := time.Now()
 		t, err := r.RunAblation(strings.TrimSpace(id))

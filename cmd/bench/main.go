@@ -2,18 +2,14 @@
 // and appends the numbers to a JSON report history (BENCH_consim.json by
 // default), the artifact tracked for performance regressions.
 //
-// Three sections are measured:
+// Two sections are measured by default (the -pdessweep and -samplesweep
+// engine sections run on request):
 //
 //   - throughput: repeated runs of the BenchmarkSimulatorThroughput
 //     configuration (the 4-VM consolidated machine at 1/16 scale),
 //     reporting references simulated per second, bytes allocated per
 //     reference, and heap allocations per reference via
 //     runtime.ReadMemStats deltas around each run.
-//
-//   - shard scaling: the same configuration at each -shardsweep shard
-//     count, reporting wall time, speedup over the sequential engine and
-//     the spine's stall fraction, and checking the runs stay
-//     bit-identical along the way.
 //
 //   - figures: wall time per requested figure artifact through a
 //     Runner, exercising the deduplicated parallel sweep path.
@@ -66,12 +62,6 @@ type Report struct {
 	BytesPerRef  float64 `json:"bytes_per_ref"`  // mean over iterations
 	AllocsPerRef float64 `json:"allocs_per_ref"` // mean over iterations
 
-	// ShardScaling measures the intra-run parallel engine (-shardsweep):
-	// the throughput configuration at each shard count, with speedup
-	// relative to the sweep's sequential point. Runs are checked
-	// bit-identical across shard counts before the numbers are recorded.
-	ShardScaling []ShardPoint `json:"shard_scaling,omitempty"`
-
 	// SampleSweep records the interval-sampling accuracy/speedup section
 	// (-samplesweep): each figure built fully detailed and sampled, with
 	// per-figure wall times and worst cell deviations against the
@@ -93,22 +83,6 @@ type Report struct {
 	// run — the memory the sweep actually held from the OS.
 	SweepWallSeconds float64 `json:"sweep_wall_seconds,omitempty"`
 	PeakRSSBytes     uint64  `json:"peak_rss_bytes"`
-}
-
-// ShardPoint is one shard count's measurement in the scaling sweep
-// (best wall time over the same iteration count as the throughput
-// section). StallFraction is the spine's wall time spent waiting on
-// worker batches — the sharded engine's barrier-stall analogue.
-type ShardPoint struct {
-	Shards        int     `json:"shards"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	RefsPerSec    float64 `json:"refs_per_sec"`
-	Speedup       float64 `json:"speedup"`
-	StallFraction float64 `json:"stall_fraction"`
-	Prefills      uint64  `json:"prefills,omitempty"`
-	SyncFills     uint64  `json:"sync_fills,omitempty"`
-	ThinkBatches  uint64  `json:"think_batches,omitempty"`
-	Stalls        uint64  `json:"stalls,omitempty"`
 }
 
 // SampleSweepReport is the -samplesweep section: the sampling
@@ -202,7 +176,7 @@ func main() {
 	}
 }
 
-func benchCfg(scale int, warm, meas uint64, shards int) consim.Config {
+func benchCfg(scale int, warm, meas uint64) consim.Config {
 	specs := consim.WorkloadSpecs()
 	cfg := consim.DefaultConfig(
 		specs[consim.TPCW], specs[consim.SPECjbb],
@@ -212,7 +186,6 @@ func benchCfg(scale int, warm, meas uint64, shards int) consim.Config {
 	cfg.GroupSize = 4
 	cfg.WarmupRefs = warm
 	cfg.MeasureRefs = meas
-	cfg.Shards = shards
 	return cfg
 }
 
@@ -223,8 +196,6 @@ func run() (err error) {
 		meas     = flag.Uint64("meas", 50_000, "measured references per core")
 		iters    = flag.Int("iters", 3, "throughput iterations (best wall time wins)")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), consim.ParallelFlagUsage)
-		shards   = flag.Int("shards", 1, consim.ShardsFlagUsage)
-		sweep    = flag.String("shardsweep", "", "comma-separated shard counts for the scaling section, e.g. 1,2,4,8 (empty = skip)")
 		ssweep   = flag.String("samplesweep", "", "comma-separated figure IDs for the sampling accuracy/speedup section, e.g. F3,F4 (empty = skip)")
 		sswarm   = flag.Uint64("samplesweep-warm", 60_000, "samplesweep warm-up references per core")
 		ssmeas   = flag.Uint64("samplesweep-meas", 1_000_000, "samplesweep detailed measurement references per core")
@@ -251,9 +222,6 @@ func run() (err error) {
 	}()
 	if o != nil {
 		o.Parallel = *parallel
-	}
-	if err := consim.ValidateShards(*shards); err != nil {
-		return err
 	}
 
 	// Resolve the baseline before any writing: gating against the file
@@ -302,7 +270,7 @@ func run() (err error) {
 	// Throughput: same configuration as BenchmarkSimulatorThroughput.
 	// One untimed run warms the process, then each timed iteration is
 	// bracketed by ReadMemStats so bytes/allocs cover exactly the runs.
-	if _, err := consim.Run(benchCfg(*scale, *warm, *meas, *shards)); err != nil {
+	if _, err := consim.Run(benchCfg(*scale, *warm, *meas)); err != nil {
 		return err
 	}
 	var bytesSum, allocsSum float64
@@ -311,7 +279,7 @@ func run() (err error) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		res, err := consim.Run(benchCfg(*scale, *warm, *meas, *shards))
+		res, err := consim.Run(benchCfg(*scale, *warm, *meas))
 		wall := time.Since(start).Seconds()
 		if err != nil {
 			return err
@@ -337,13 +305,6 @@ func run() (err error) {
 	rep.AllocsPerRef = allocsSum / perRef
 	rep.PeakRSSBytes = peakSys(rep.PeakRSSBytes)
 
-	if s := strings.TrimSpace(*sweep); s != "" {
-		if rep.ShardScaling, err = shardScaling(s, *scale, *warm, *meas, *iters); err != nil {
-			return err
-		}
-		rep.PeakRSSBytes = peakSys(rep.PeakRSSBytes)
-	}
-
 	if s := strings.TrimSpace(*psweep); s != "" {
 		if rep.PdesSweep, err = pdesSweep(s, *scale, *warm, *meas, *iters, *pswindow); err != nil {
 			return err
@@ -364,7 +325,7 @@ func run() (err error) {
 		rep.FigureSeconds = make(map[string]float64)
 		r := consim.NewRunner(consim.RunnerOptions{
 			Scale: *scale, WarmupRefs: *warm, MeasureRefs: *meas,
-			Parallel: *parallel, Shards: *shards, Obs: o,
+			Parallel: *parallel, Obs: o,
 		})
 		sweepStart := time.Now()
 		for _, id := range strings.Split(ids, ",") {
@@ -402,71 +363,6 @@ func run() (err error) {
 	return nil
 }
 
-// shardScaling runs the throughput configuration once per requested
-// shard count (best of iters wall times each) and cross-checks that
-// every run produced identical simulated results — the engine's core
-// contract. Speedup is relative to the sweep's shards=1 point, or its
-// first point when 1 is not swept.
-func shardScaling(list string, scale int, warm, meas uint64, iters int) ([]ShardPoint, error) {
-	var points []ShardPoint
-	var refCycles uint64
-	var refVMs string
-	baseWall := 0.0
-	for _, part := range strings.Split(list, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad -shardsweep entry %q", part)
-		}
-		if err := consim.ValidateShards(n); err != nil {
-			return nil, err
-		}
-		var best consim.Result
-		bestWall := 0.0
-		for i := 0; i < iters; i++ {
-			start := time.Now()
-			res, err := consim.Run(benchCfg(scale, warm, meas, n))
-			wall := time.Since(start).Seconds()
-			if err != nil {
-				return nil, err
-			}
-			if bestWall == 0 || wall < bestWall {
-				bestWall, best = wall, res
-			}
-		}
-		vms, err := json.Marshal(best.VMs)
-		if err != nil {
-			return nil, err
-		}
-		if refVMs == "" {
-			refCycles, refVMs = uint64(best.Cycles), string(vms)
-		} else if uint64(best.Cycles) != refCycles || string(vms) != refVMs {
-			return nil, fmt.Errorf("shards=%d diverged from the sweep's first point: results must be bit-identical", n)
-		}
-		var refs uint64
-		for _, v := range best.VMs {
-			refs += v.Stats.Refs
-		}
-		if baseWall == 0 {
-			baseWall = bestWall
-		}
-		p := ShardPoint{
-			Shards:        n,
-			WallSeconds:   bestWall,
-			RefsPerSec:    float64(refs) / bestWall,
-			Speedup:       baseWall / bestWall,
-			StallFraction: best.Shard.StallSeconds / bestWall,
-			Prefills:      best.Shard.Prefills,
-			SyncFills:     best.Shard.SyncFills,
-			ThinkBatches:  best.Shard.ThinkBatches,
-			Stalls:        best.Shard.Stalls,
-		}
-		points = append(points, p)
-		fmt.Fprintf(os.Stderr, "[shards %d: %.3fs, %.2fx, stall %.1f%%]\n",
-			n, p.WallSeconds, p.Speedup, 100*p.StallFraction)
-	}
-	return points, nil
-}
-
 // pdesSweep runs the throughput configuration sequentially once as the
 // reference, then once per requested worker count under the
 // split-transaction parallel engine (best of iters wall times each).
@@ -485,16 +381,14 @@ func pdesSweep(list string, scale int, warm, meas uint64, iters int, window uint
 	}
 
 	runBest := func(workers int) (consim.Result, float64, error) {
-		cfg := benchCfg(scale, warm, meas, 1)
+		cfg := benchCfg(scale, warm, meas)
 		if workers > 1 {
 			cfg.Pdes = workers
 			cfg.PdesWindow = consim.Cycle(window)
 			// Shard the barrier replay at the same width: sharding is
 			// bit-identical to the serial replay, so the sweep measures
 			// the engine the knobs would actually run, and apply_fraction
-			// records the post-sharding serial residue. Pipelining stays
-			// off here — the sweep's MaxRelErr contract is the engine
-			// bound, not the pipeline's staleness trade.
+			// records the post-sharding serial residue.
 			cfg.PdesReplayWorkers = workers
 		}
 		var best consim.Result

@@ -24,14 +24,15 @@ func main() {
 	only := flag.String("only", "", "run a single workload by name")
 	gradient := flag.Bool("gradient", false, "also print the capacity gradient (miss rate and runtime at shared/shared-4/private)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), consim.ParallelFlagUsage)
-	shards := flag.Int("shards", 1, consim.ShardsFlagUsage)
-	var sflags consim.SampleFlags
-	sflags.Register(flag.CommandLine)
-	var pflags consim.PdesFlags
-	pflags.Register(flag.CommandLine)
+	var eflags consim.EngineFlags
+	eflags.Register(flag.CommandLine)
 	var ocli obs.CLI
 	ocli.Register(flag.CommandLine)
 	flag.Parse()
+	if err := eflags.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	o, ostop, err := ocli.Start(os.Stderr)
 	if err != nil {
@@ -39,15 +40,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer ostop() //nolint:errcheck // diagnostics-only sinks
-
-	if err := consim.ValidateShards(*shards); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := pflags.CheckExclusive(*shards, sflags.Config()); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 
 	gradientSizes := []int{16, 4, 1}
 
@@ -62,9 +54,7 @@ func main() {
 		cfg.Scale = *scale
 		cfg.WarmupRefs = *warm
 		cfg.MeasureRefs = *meas
-		cfg.Shards = *shards
-		cfg.Sample = sflags.Config()
-		pflags.Apply(&cfg) //nolint:errcheck // pair consistency checked above
+		eflags.Apply(&cfg)
 		return cfg
 	}
 	for _, spec := range workload.Specs() {

@@ -1,12 +1,11 @@
 // Command consim runs one consolidation simulation from flags and prints
 // per-VM metrics. -group accepts a comma-separated list of group sizes;
 // with more than one, the sweep's simulations run concurrently (bounded
-// by -parallel) and the reports print in list order. -shards parallelizes
-// each simulation internally with bit-identical results — use it for a
-// single long run, and -parallel when sweeping many. -pdes runs one
-// simulation's active cores in parallel domains with windowed
-// cross-domain coherence: faster on multi-core hosts, but metrics
-// become equivalence-gated estimates (deterministic per seed).
+// by -parallel) and the reports print in list order. -sample measures
+// detailed windows separated by functional fast-forward, and -pdes runs
+// one simulation's active cores in parallel domains with windowed
+// cross-domain coherence; both make metrics estimates (deterministic
+// per seed).
 //
 // Examples:
 //
@@ -14,8 +13,8 @@
 //	consim -workloads TPC-H -group 1 -scale 4
 //	consim -workloads TPC-W,TPC-W,SPECjbb,SPECjbb -policy rr
 //	consim -mix 8 -group 1,4,16 -parallel 3
-//	consim -mix 5 -shards 4
-//	consim -mix 5 -pdes 4
+//	consim -mix 5 -sample 5000
+//	consim -mix 5 -pdes 4 -pdes-replay-workers 4
 package main
 
 import (
@@ -97,9 +96,6 @@ func printResult(res consim.Result, regions, snapshot bool) {
 		replay := ""
 		if ps.ReplayWorkers > 1 {
 			replay = fmt.Sprintf(", sharded replay x%d", ps.ReplayWorkers)
-			if ps.Pipelined {
-				replay += " pipelined"
-			}
 		}
 		fmt.Printf("parallel: %d domains (of %d workers), %d windows of %d cycles, %d replayed ops%s — metrics are estimates\n",
 			ps.Domains, ps.Workers, ps.Windows, ps.Window, ps.Ops, replay)
@@ -172,15 +168,15 @@ func run() (err error) {
 		asJSON    = flag.Bool("json", false, "emit the full result as JSON (an array when sweeping groups)")
 		regions   = flag.Bool("regions", false, "break each VM's LLC misses down by footprint region")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), consim.ParallelFlagUsage)
-		shards    = flag.Int("shards", 1, consim.ShardsFlagUsage)
 	)
-	var sflags consim.SampleFlags
-	sflags.Register(flag.CommandLine)
-	var pflags consim.PdesFlags
-	pflags.Register(flag.CommandLine)
+	var eflags consim.EngineFlags
+	eflags.Register(flag.CommandLine)
 	var ocli obs.CLI
 	ocli.Register(flag.CommandLine)
 	flag.Parse()
+	if err := eflags.Validate(); err != nil {
+		return err
+	}
 
 	o, ostop, oerr := ocli.Start(os.Stderr)
 	if oerr != nil {
@@ -220,9 +216,6 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	if err := consim.ValidateShards(*shards); err != nil {
-		return err
-	}
 
 	cfgs := make([]consim.Config, len(groups))
 	for i, gs := range groups {
@@ -233,11 +226,7 @@ func run() (err error) {
 		cfg.Seed = *seed
 		cfg.WarmupRefs = *warm
 		cfg.MeasureRefs = *meas
-		cfg.Shards = *shards
-		cfg.Sample = sflags.Config()
-		if err := pflags.Apply(&cfg); err != nil {
-			return err
-		}
+		eflags.Apply(&cfg)
 		cfgs[i] = cfg
 	}
 

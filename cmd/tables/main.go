@@ -40,16 +40,16 @@ func run() (err error) {
 		warm     = flag.Uint64("warm", 600_000, "warm-up references per core")
 		meas     = flag.Uint64("meas", 1_000_000, "measured references per core")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), consim.ParallelFlagUsage)
-		shards   = flag.Int("shards", 1, consim.ShardsFlagUsage)
 		format   = flag.String("format", "text", "output format: text, md, csv, bars")
 	)
-	var sflags consim.SampleFlags
-	sflags.Register(flag.CommandLine)
-	var pflags consim.PdesFlags
-	pflags.Register(flag.CommandLine)
+	var eflags consim.EngineFlags
+	eflags.Register(flag.CommandLine)
 	var ocli obs.CLI
 	ocli.Register(flag.CommandLine)
 	flag.Parse()
+	if err := eflags.Validate(); err != nil {
+		return err
+	}
 
 	o, ostop, oerr := ocli.Start(os.Stderr)
 	if oerr != nil {
@@ -72,24 +72,16 @@ func run() (err error) {
 		}
 	}
 
-	if err := consim.ValidateShards(*shards); err != nil {
-		return err
-	}
-	if err := pflags.CheckExclusive(*shards, sflags.Config()); err != nil {
-		return err
-	}
-	r := consim.NewRunner(consim.RunnerOptions{
+	opt := consim.RunnerOptions{
 		Scale:       *scale,
 		Seed:        *seed,
 		WarmupRefs:  *warm,
 		MeasureRefs: *meas,
 		Parallel:    *parallel,
-		Shards:      *shards,
-		Sample:      sflags.Config(),
-		Pdes:        pflags.Workers(),
-		PdesWindow:  pflags.Window(),
 		Obs:         o,
-	})
+	}
+	eflags.ApplyRunner(&opt)
+	r := consim.NewRunner(opt)
 
 	// The whole batch goes through one deduplicated work queue: shared
 	// isolation baselines simulate once, and up to -parallel simulations

@@ -117,14 +117,14 @@ func replay(args []string) (err error) {
 	policy := fs.String("policy", "affinity", "scheduling policy")
 	warm := fs.Uint64("warm", 50_000, "warm-up references per core")
 	meas := fs.Uint64("meas", 100_000, "measured references per core")
-	shards := fs.Int("shards", 1, consim.ShardsFlagUsage)
-	var sflags consim.SampleFlags
-	sflags.Register(fs)
-	var pflags consim.PdesFlags
-	pflags.Register(fs)
+	var eflags consim.EngineFlags
+	eflags.Register(fs)
 	var ocli obs.CLI
 	ocli.Register(fs)
 	fs.Parse(args[1:])
+	if err := eflags.Validate(); err != nil {
+		return err
+	}
 
 	o, ostop, oerr := ocli.Start(os.Stderr)
 	if oerr != nil {
@@ -136,12 +136,6 @@ func replay(args []string) (err error) {
 		}
 	}()
 
-	if err := consim.ValidateShards(*shards); err != nil {
-		return err
-	}
-	if err := pflags.CheckExclusive(*shards, sflags.Config()); err != nil {
-		return err
-	}
 	rd, err := openTrace(args[0])
 	if err != nil {
 		return err
@@ -156,13 +150,9 @@ func replay(args []string) (err error) {
 	cfg.ThreadsPerVM = rd.Header().Threads
 	cfg.WarmupRefs = *warm
 	cfg.MeasureRefs = *meas
-	cfg.Shards = *shards
-	cfg.Sample = sflags.Config()
 	// Replay always uses a trace source, which the parallel engine cannot
-	// run; Apply + Validate produce the descriptive refusal.
-	if err := pflags.Apply(&cfg); err != nil {
-		return err
-	}
+	// run; Config validation produces the descriptive refusal.
+	eflags.Apply(&cfg)
 	cfg.Sources = []workload.Source{rd}
 	cfg.Obs = o.Hooks()
 

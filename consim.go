@@ -51,9 +51,6 @@ type (
 	VMResult = core.VMResult
 	// Snapshot captures LLC replication and occupancy state.
 	Snapshot = core.Snapshot
-	// ShardStats reports the intra-run parallel engine's activity
-	// (Result.Shard); all-zero for sequential runs.
-	ShardStats = core.ShardStats
 	// SampleConfig enables interval-sampled simulation (Config.Sample):
 	// detailed windows, functional fast-forward, CI-convergence early
 	// stop. The zero value keeps runs fully detailed and bit-identical.
@@ -66,146 +63,87 @@ type (
 	PdesStats = core.PdesStats
 )
 
-// Canonical CLI help strings for the speed knobs, shared by every
-// command so the flags read identically across the toolset. -parallel
-// spreads independent simulations across CPUs and -shards splits one
-// simulation across worker lanes; neither ever changes results. -sample
-// and -pdes trade exactness for speed: -sample estimates metrics from
+// ParallelFlagUsage is the canonical -parallel help string, shared by
+// every command so the flag reads identically across the toolset.
+const ParallelFlagUsage = "independent simulations to keep in flight at once (across-run parallelism; never changes results)"
+
+// EngineFlags is the engine flag set shared by every consim command:
+// -sample with its four companions selects interval-sampled simulation,
+// -pdes with -pdes-window and -pdes-replay-workers the split-transaction
+// parallel engine; neither set means the sequential engine. Both
+// engines trade exactness for speed: -sample estimates metrics from
 // detailed windows separated by functional fast-forward (achieved
 // confidence interval recorded in manifests), -pdes runs active cores
 // in parallel domains with windowed cross-domain coherence (deviations
 // gated by the equivalence harness, deterministic per seed).
-const (
-	ParallelFlagUsage   = "independent simulations to keep in flight at once (across-run parallelism; never changes results)"
-	ShardsFlagUsage     = "worker lanes inside each simulation: 1 = sequential engine, or 2/4/8/16 evenly dividing the core count; results are bit-identical at any value"
-	SampleFlagUsage     = "detailed-window length in per-core references; >0 enables interval-sampled simulation (approximate: metrics become CI-bounded estimates)"
-	PdesFlagUsage       = "split-transaction parallel engine domains inside each simulation: 0/1 = sequential engine, N>1 partitions active cores into N windowed domains (approximate: deviations gated by the equivalence harness)"
-	PdesWindowFlagUsage = "parallel engine window width in cycles (default 16384); wider windows amortize barriers at the price of staler cross-domain coherence"
-	// The sharded-replay pair rides on -pdes: replay sharding alone is a
-	// pure execution-strategy change (bit-identical results), pipelining
-	// trades one window of replica staleness for overlap and is gated
-	// like -pdes itself.
-	PdesReplayWorkersFlagUsage = "parallel workers for the barrier replay (requires -pdes > 1): 0/1 = serial replay, N>1 shards the op log by LLC bank group; results are bit-identical at any value"
-	PdesPipelineFlagUsage      = "overlap each window's cross-group replay merge with the next window (requires -pdes-replay-workers >= 2); approximate: replicas resync one window late, gated by the equivalence harness"
-)
-
-// ValidateShards checks a -shards value against the default 16-core
-// machine, returning a descriptive error for CLI use. Config.Validate
-// performs the same check against the configured core count.
-func ValidateShards(shards int) error {
-	return sim.ValidateShards(shards, core.DefaultCores)
+//
+// Like obs.CLI, a command registers the set once, validates it once
+// right after parsing, and applies it to each Config or to its
+// runner's options:
+//
+//	var ef consim.EngineFlags
+//	ef.Register(flag.CommandLine)
+//	flag.Parse()
+//	if err := ef.Validate(); err != nil { ... }
+//	ef.Apply(&cfg) // or ef.ApplyRunner(&opt)
+type EngineFlags struct {
+	Sample            SampleConfig
+	Pdes              int
+	PdesWindow        uint64
+	PdesReplayWorkers int
 }
 
-// SampleFlags registers the interval-sampling flag set on a CLI and
-// assembles the resulting SampleConfig, so every command exposes the
-// same five knobs with identical help text.
-type SampleFlags struct {
-	window     uint64
-	ratio      int
-	ciTarget   float64
-	minWindows int
-	maxRefs    uint64
+// Register installs the engine flags on fs.
+func (ef *EngineFlags) Register(fs *flag.FlagSet) {
+	fs.Uint64Var(&ef.Sample.WindowRefs, "sample", 0, "detailed-window length in per-core references; >0 enables interval-sampled simulation (approximate: metrics become CI-bounded estimates)")
+	fs.IntVar(&ef.Sample.FFRatio, "sample-ratio", 0, "fast-forward length between windows as a multiple of -sample (default 4)")
+	fs.Float64Var(&ef.Sample.CITarget, "sample-ci", 0, "stop once every per-VM metric's relative 95% CI half-width reaches this (default 0.05)")
+	fs.IntVar(&ef.Sample.MinWindows, "sample-min-windows", 0, "fewest windows convergence may stop at (default 4)")
+	fs.Uint64Var(&ef.Sample.MaxRefs, "sample-max-refs", 0, "per-core detailed-reference budget; stop when reached even unconverged (default: the measurement budget)")
+	fs.IntVar(&ef.Pdes, "pdes", 0, "split-transaction parallel engine domains inside each simulation: 0/1 = sequential engine, N>1 partitions active cores into N windowed domains (approximate: deviations gated by the equivalence harness)")
+	fs.Uint64Var(&ef.PdesWindow, "pdes-window", 0, "parallel engine window width in cycles (default 16384); wider windows amortize barriers at the price of staler cross-domain coherence")
+	fs.IntVar(&ef.PdesReplayWorkers, "pdes-replay-workers", 0, "parallel workers for the barrier replay (requires -pdes > 1): 0/1 = serial replay, N>1 shards the op log by LLC bank group; results are bit-identical at any value")
 }
 
-// Register installs -sample and its companion knobs on fs.
-func (sf *SampleFlags) Register(fs *flag.FlagSet) {
-	fs.Uint64Var(&sf.window, "sample", 0, SampleFlagUsage)
-	fs.IntVar(&sf.ratio, "sample-ratio", 0, "fast-forward length between windows as a multiple of -sample (default 4)")
-	fs.Float64Var(&sf.ciTarget, "sample-ci", 0, "stop once every per-VM metric's relative 95% CI half-width reaches this (default 0.05)")
-	fs.IntVar(&sf.minWindows, "sample-min-windows", 0, "fewest windows convergence may stop at (default 4)")
-	fs.Uint64Var(&sf.maxRefs, "sample-max-refs", 0, "per-core detailed-reference budget; stop when reached even unconverged (default: the measurement budget)")
-}
-
-// Config returns the assembled SampleConfig (zero value when -sample
-// was not set; unset companions fall to the engine defaults).
-func (sf *SampleFlags) Config() SampleConfig {
-	if sf.window == 0 {
-		return SampleConfig{}
-	}
-	return SampleConfig{
-		WindowRefs: sf.window,
-		FFRatio:    sf.ratio,
-		CITarget:   sf.ciTarget,
-		MinWindows: sf.minWindows,
-		MaxRefs:    sf.maxRefs,
-	}
-}
-
-// PdesFlags registers the split-transaction parallel engine's flag pair
-// on a CLI, so every command exposes the same two knobs with identical
-// help text.
-type PdesFlags struct {
-	workers       int
-	window        uint64
-	replayWorkers int
-	pipeline      bool
-}
-
-// Register installs -pdes, -pdes-window, -pdes-replay-workers and
-// -pdes-pipeline on fs.
-func (pf *PdesFlags) Register(fs *flag.FlagSet) {
-	fs.IntVar(&pf.workers, "pdes", 0, PdesFlagUsage)
-	fs.Uint64Var(&pf.window, "pdes-window", 0, PdesWindowFlagUsage)
-	fs.IntVar(&pf.replayWorkers, "pdes-replay-workers", 0, PdesReplayWorkersFlagUsage)
-	fs.BoolVar(&pf.pipeline, "pdes-pipeline", false, PdesPipelineFlagUsage)
-}
-
-// Workers returns the -pdes value (0 when unset).
-func (pf *PdesFlags) Workers() int { return pf.workers }
-
-// Window returns the -pdes-window value as a cycle count.
-func (pf *PdesFlags) Window() sim.Cycle { return sim.Cycle(pf.window) }
-
-// ReplayWorkers returns the -pdes-replay-workers value (0 when unset).
-func (pf *PdesFlags) ReplayWorkers() int { return pf.replayWorkers }
-
-// Pipeline reports whether -pdes-pipeline was set.
-func (pf *PdesFlags) Pipeline() bool { return pf.pipeline }
-
-// Apply writes the flag set into cfg, returning an error when the
-// combination is inconsistent (companion knobs without -pdes, or
-// -pdes-pipeline without replay sharding).
-func (pf *PdesFlags) Apply(cfg *Config) error {
-	if pf.workers <= 1 {
-		switch {
-		case pf.window != 0:
-			return fmt.Errorf("-pdes-window requires -pdes > 1")
-		case pf.replayWorkers > 1:
-			return fmt.Errorf("-pdes-replay-workers requires -pdes > 1")
-		case pf.pipeline:
-			return fmt.Errorf("-pdes-pipeline requires -pdes > 1")
-		}
-		return nil
-	}
-	if pf.pipeline && pf.replayWorkers < 2 {
-		return fmt.Errorf("-pdes-pipeline requires -pdes-replay-workers >= 2")
-	}
-	cfg.Pdes = pf.workers
-	cfg.PdesWindow = sim.Cycle(pf.window)
-	cfg.PdesReplayWorkers = pf.replayWorkers
-	cfg.PdesPipeline = pf.pipeline
-	return nil
-}
-
-// CheckExclusive rejects flag combinations that select two intra-run
-// engines at once. Every CLI calls it right after flag parsing so the
-// user sees one clear message instead of a per-config validation error
-// (or, under the runner's quiet compatibility filter, a silently
-// sequential run).
-func (pf *PdesFlags) CheckExclusive(shards int, sc SampleConfig) error {
-	if pf.workers <= 1 {
-		if pf.window != 0 {
-			return fmt.Errorf("-pdes-window requires -pdes > 1")
-		}
-		return nil
-	}
-	if shards > 1 {
-		return fmt.Errorf("-pdes and -shards are mutually exclusive engines")
-	}
-	if sc.Enabled() {
+// Validate rejects inconsistent combinations: negative engine counts,
+// companion flags without their engine, and both engines at once.
+// Every command calls it right after parsing, so the user sees one
+// clear message instead of a per-config validation error or, under the
+// runner's quiet compatibility filter, a silently sequential run.
+func (ef *EngineFlags) Validate() error {
+	sc := ef.Sample
+	switch {
+	case ef.Pdes < 0:
+		return fmt.Errorf("-pdes must not be negative")
+	case ef.PdesReplayWorkers < 0:
+		return fmt.Errorf("-pdes-replay-workers must not be negative")
+	case ef.Pdes <= 1 && ef.PdesWindow != 0:
+		return fmt.Errorf("-pdes-window requires -pdes > 1")
+	case ef.Pdes <= 1 && ef.PdesReplayWorkers != 0:
+		return fmt.Errorf("-pdes-replay-workers requires -pdes > 1")
+	case ef.Pdes > 1 && sc.Enabled():
 		return fmt.Errorf("-pdes and -sample are mutually exclusive engines")
+	case !sc.Enabled() && sc != (SampleConfig{}):
+		return fmt.Errorf("-sample-ratio, -sample-ci, -sample-min-windows and -sample-max-refs require -sample > 0")
 	}
 	return nil
+}
+
+// Apply writes the validated engine selection into one run's Config.
+func (ef *EngineFlags) Apply(cfg *Config) {
+	cfg.Sample = ef.Sample
+	cfg.Pdes = ef.Pdes
+	cfg.PdesWindow = sim.Cycle(ef.PdesWindow)
+	cfg.PdesReplayWorkers = ef.PdesReplayWorkers
+}
+
+// ApplyRunner writes the validated engine selection into a runner's
+// options; the runner applies it to every compatible simulation.
+func (ef *EngineFlags) ApplyRunner(opt *RunnerOptions) {
+	opt.Sample = ef.Sample
+	opt.Pdes = ef.Pdes
+	opt.PdesWindow = sim.Cycle(ef.PdesWindow)
+	opt.PdesReplayWorkers = ef.PdesReplayWorkers
 }
 
 // Workload modeling types.
@@ -394,10 +332,9 @@ func CompareParallelFigures(opt RunnerOptions, workers int, window sim.Cycle, bo
 
 // CompareShardedParallelRun executes cfg under the parallel engine with
 // the serial barrier replay and again with the replay sharded across
-// replayWorkers bank-group streams (optionally pipelined), reporting
-// per-VM metric deviations against bound (<= 0 selects
-// DefaultPdesBound). Without pipelining the deviation must be exactly
-// zero — replay sharding never changes results.
-func CompareShardedParallelRun(cfg Config, workers, replayWorkers int, pipeline bool, window sim.Cycle, bound float64) (RunComparison, error) {
-	return harness.CompareShardedParallelRun(cfg, workers, replayWorkers, pipeline, window, bound)
+// replayWorkers bank-group streams, reporting per-VM metric deviations
+// against bound (<= 0 selects DefaultPdesBound). The deviation must be
+// exactly zero — replay sharding never changes results.
+func CompareShardedParallelRun(cfg Config, workers, replayWorkers int, window sim.Cycle, bound float64) (RunComparison, error) {
+	return harness.CompareShardedParallelRun(cfg, workers, replayWorkers, window, bound)
 }

@@ -1,6 +1,9 @@
 package consim_test
 
 import (
+	"flag"
+	"io"
+	"strings"
 	"testing"
 
 	"consim"
@@ -96,5 +99,93 @@ func TestPublicAPIPhases(t *testing.T) {
 	}
 	if len(consim.AblationIDs()) != 6 {
 		t.Error("ablation IDs wrong")
+	}
+}
+
+// parseEngineFlags registers the engine flag set on a fresh FlagSet the
+// way every command does and parses args into it.
+func parseEngineFlags(t *testing.T, args []string) *consim.EngineFlags {
+	t.Helper()
+	fs := flag.NewFlagSet("engine", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	var ef consim.EngineFlags
+	ef.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	return &ef
+}
+
+// engineFields is the engine selection as one comparable value.
+type engineFields struct {
+	Sample            consim.SampleConfig
+	Pdes              int
+	PdesWindow        consim.Cycle
+	PdesReplayWorkers int
+}
+
+// TestEngineFlagsApply pins the one-flag-set contract: an argument list
+// yields the same engine fields whether a command applies it to one
+// run's Config (consim, calibrate, trace replay) or to RunnerOptions
+// (tables, ablate), so no command drops a flag another honours.
+func TestEngineFlagsApply(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want engineFields
+	}{
+		{nil, engineFields{}},
+		{[]string{"-sample", "5000"}, engineFields{Sample: consim.SampleConfig{WindowRefs: 5000}}},
+		{[]string{"-sample", "5000", "-sample-ratio", "3", "-sample-ci", "0.1", "-sample-min-windows", "5", "-sample-max-refs", "40000"},
+			engineFields{Sample: consim.SampleConfig{WindowRefs: 5000, FFRatio: 3, CITarget: 0.1, MinWindows: 5, MaxRefs: 40000}}},
+		{[]string{"-pdes", "1"}, engineFields{Pdes: 1}},
+		{[]string{"-pdes", "2"}, engineFields{Pdes: 2}},
+		{[]string{"-pdes", "2", "-pdes-replay-workers", "2"}, engineFields{Pdes: 2, PdesReplayWorkers: 2}},
+		{[]string{"-pdes", "4", "-pdes-window", "8192", "-pdes-replay-workers", "4"},
+			engineFields{Pdes: 4, PdesWindow: 8192, PdesReplayWorkers: 4}},
+	} {
+		ef := parseEngineFlags(t, tc.args)
+		if err := ef.Validate(); err != nil {
+			t.Errorf("%v: valid flags refused: %v", tc.args, err)
+			continue
+		}
+		var cfg consim.Config
+		ef.Apply(&cfg)
+		var opt consim.RunnerOptions
+		ef.ApplyRunner(&opt)
+		gotCfg := engineFields{cfg.Sample, cfg.Pdes, cfg.PdesWindow, cfg.PdesReplayWorkers}
+		gotOpt := engineFields{opt.Sample, opt.Pdes, opt.PdesWindow, opt.PdesReplayWorkers}
+		if gotCfg != tc.want {
+			t.Errorf("%v: Config engine fields = %+v, want %+v", tc.args, gotCfg, tc.want)
+		}
+		if gotOpt != tc.want {
+			t.Errorf("%v: RunnerOptions engine fields = %+v, want %+v", tc.args, gotOpt, tc.want)
+		}
+	}
+}
+
+// TestEngineFlagsValidate checks every combination the flag set refuses
+// right after parsing, in every command alike: companion flags without
+// their engine, both engines at once, and negative counts.
+func TestEngineFlagsValidate(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-pdes-window", "4096"}, "-pdes-window requires -pdes > 1"},
+		{[]string{"-pdes", "1", "-pdes-window", "4096"}, "-pdes-window requires -pdes > 1"},
+		{[]string{"-pdes-replay-workers", "2"}, "-pdes-replay-workers requires -pdes > 1"},
+		{[]string{"-pdes", "1", "-pdes-replay-workers", "2"}, "-pdes-replay-workers requires -pdes > 1"},
+		{[]string{"-pdes", "2", "-sample", "5000"}, "-pdes and -sample are mutually exclusive engines"},
+		{[]string{"-sample-ratio", "3"}, "require -sample > 0"},
+		{[]string{"-sample-ci", "0.1"}, "require -sample > 0"},
+		{[]string{"-sample-min-windows", "5"}, "require -sample > 0"},
+		{[]string{"-sample-max-refs", "40000"}, "require -sample > 0"},
+		{[]string{"-pdes", "-2"}, "-pdes must not be negative"},
+		{[]string{"-pdes", "2", "-pdes-replay-workers", "-1"}, "-pdes-replay-workers must not be negative"},
+	} {
+		err := parseEngineFlags(t, tc.args).Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: Validate() = %v, want an error containing %q", tc.args, err, tc.want)
+		}
 	}
 }

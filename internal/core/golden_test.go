@@ -24,13 +24,6 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite results/golden fixtures from the current simulator")
 
-// goldenShards runs the fixtures through the sharded engine; the digests
-// must match the committed (sequential) fixtures bit-for-bit at every
-// shard count, which is the engine's central determinism claim:
-//
-//	go test ./internal/core -run TestGoldenResults -shards 4
-var goldenShards = flag.Int("shards", 1, "shard count to run the golden fixtures at (results must not change)")
-
 const goldenDir = "../../results/golden"
 
 // goldenVM is the per-VM slice of a digest. Stats covers every counter
@@ -101,7 +94,6 @@ func TestGoldenResults(t *testing.T) {
 		t.Skip("golden fixtures are covered by the full suite")
 	}
 	for name, cfg := range goldenConfigs() {
-		cfg.Shards = *goldenShards
 		t.Run(name, func(t *testing.T) {
 			got := digestOf(mustRun(t, cfg))
 			path := filepath.Join(goldenDir, name+".json")

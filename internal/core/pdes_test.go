@@ -46,7 +46,6 @@ func comparePdes(t *testing.T, cfg Config, workers int) float64 {
 	seq := cfg
 	seq.Pdes = 1
 	seq.PdesReplayWorkers = 0
-	seq.PdesPipeline = false
 	want := mustRun(t, seq)
 
 	par := cfg
@@ -79,7 +78,6 @@ func TestPdesValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Pdes = -1 },
 		func(c *Config) { c.Pdes = c.Cores + 1 },
-		func(c *Config) { c.Pdes = 4; c.Shards = 4 },
 		func(c *Config) { c.Pdes = 4; c.Sample.WindowRefs = 1000 },
 		func(c *Config) { c.Pdes = 4; c.RebalanceCycles = 100_000 },
 		func(c *Config) { c.Pdes = 4; c.SnapshotRefs = 1000 },

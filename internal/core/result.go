@@ -105,14 +105,10 @@ type Result struct {
 	// simulated quantity.
 	WallSeconds float64
 
-	// Shard reports the intra-run parallel engine's activity; zero for
-	// the sequential engine. Host-side provenance like WallSeconds — the
-	// shard count never changes simulated results.
-	Shard ShardStats
-
 	// Sample reports the interval-sampling engine's activity; zero for a
-	// detailed run. Unlike Shard this IS simulation-visible provenance:
-	// sampled metrics are estimates whose achieved CI it records.
+	// detailed run. Unlike WallSeconds this IS simulation-visible
+	// provenance: sampled metrics are estimates whose achieved CI it
+	// records.
 	Sample SampleStats
 
 	// Pdes reports the split-transaction parallel engine's activity;
@@ -122,9 +118,9 @@ type Result struct {
 	Pdes PdesStats
 
 	// Phase decomposes WallSeconds by engine phase (warmup/measure
-	// split always; pdes window/replay/barrier, sample detailed/ff and
-	// shard lane-occupancy terms when those engines ran). Host-side
-	// provenance like WallSeconds.
+	// split always; pdes window/replay/barrier and sample detailed/ff
+	// terms when those engines ran). Host-side provenance like
+	// WallSeconds.
 	Phase obs.PhaseProfile
 
 	// TimeseriesRun / TimeseriesRows identify this run's rows in the
@@ -176,13 +172,6 @@ func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 		WallSeconds:  res.WallSeconds,
 		Parallel:     parallel,
 
-		Shards:            res.Shard.Shards,
-		ShardPrefills:     res.Shard.Prefills,
-		ShardSyncFills:    res.Shard.SyncFills,
-		ShardThinkBatches: res.Shard.ThinkBatches,
-		ShardStalls:       res.Shard.Stalls,
-		ShardStallSeconds: res.Shard.StallSeconds,
-
 		SampleWindows:      res.Sample.Windows,
 		SampleWindowRefs:   cfg.Sample.WindowRefs,
 		SampleDetailedRefs: res.Sample.DetailedRefs,
@@ -190,16 +179,15 @@ func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 		SampleRelCI:        res.Sample.AchievedRelCI,
 		SampleStopReason:   res.Sample.StopReason,
 
-		PdesWorkers:      res.Pdes.Workers,
-		PdesDomains:      res.Pdes.Domains,
-		PdesWindowCycles: uint64(res.Pdes.Window),
-		PdesWindows:      res.Pdes.Windows,
-		PdesOps:          res.Pdes.Ops,
+		PdesWorkers:       res.Pdes.Workers,
+		PdesDomains:       res.Pdes.Domains,
+		PdesWindowCycles:  uint64(res.Pdes.Window),
+		PdesWindows:       res.Pdes.Windows,
+		PdesOps:           res.Pdes.Ops,
 		PdesStalls:        res.Pdes.Stalls,
 		PdesStallSeconds:  res.Pdes.StallSeconds,
 		PdesApplySeconds:  res.Pdes.ApplySeconds,
 		PdesReplayWorkers: res.Pdes.ReplayWorkers,
-		PdesPipelined:     res.Pdes.Pipelined,
 	}
 }
 

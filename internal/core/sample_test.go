@@ -15,17 +15,16 @@ import (
 // sampledCfg is the standard small sampled configuration the tests run:
 // the 4-VM consolidated machine at test scale with a window geometry
 // small enough to exercise several window/fast-forward alternations.
-func sampledCfg(shards int) Config {
+func sampledCfg() Config {
 	cfg := fastCfg(4, sched.Affinity, workload.TPCW, workload.SPECjbb, workload.TPCH, workload.SPECweb)
 	cfg.WarmupRefs = 10_000
 	cfg.MeasureRefs = 100_000
-	cfg.Shards = shards
 	cfg.Sample = SampleConfig{WindowRefs: 2_000, FFRatio: 3, CITarget: 0.05, MinWindows: 3, MaxRefs: 12_000}
 	return cfg
 }
 
 // resultDigest serializes everything simulation-visible about a result
-// (excluding host-side provenance like wall time and shard activity).
+// (excluding host-side provenance like wall time).
 func resultDigest(t *testing.T, res Result) string {
 	t.Helper()
 	d := struct {
@@ -43,38 +42,17 @@ func resultDigest(t *testing.T, res Result) string {
 	return string(buf)
 }
 
-// TestSampledDeterministicAcrossShards pins the sampling engine's
-// determinism contract: for a fixed (seed, window-config) pair the
-// sampled result — window count, skip totals, achieved CI and every
-// metric — is identical at every shard count, exactly like detailed
-// runs. Fast-forward consumes references through the same refSource as
-// the detailed loop and draws no think times, so the worker protocol
-// stays aligned.
-func TestSampledDeterministicAcrossShards(t *testing.T) {
-	var want string
-	for _, shards := range []int{1, 2, 4} {
-		res := mustRun(t, sampledCfg(shards))
-		if res.Sample.Windows < 3 || res.Sample.SkippedRefs == 0 {
-			t.Fatalf("shards=%d: sampling did not engage: %+v", shards, res.Sample)
-		}
-		got := resultDigest(t, res)
-		if want == "" {
-			want = got
-			t.Logf("shards=1 sample: %+v", res.Sample)
-			continue
-		}
-		if got != want {
-			t.Errorf("shards=%d sampled result diverged from shards=1", shards)
-		}
-	}
-}
-
-// TestSampledRunRepeatable pins run-to-run determinism: the same sampled
-// configuration produces byte-identical results on every execution.
+// TestSampledRunRepeatable pins the sampling engine's determinism
+// contract: for a fixed (seed, window-config) pair the sampled result —
+// window count, skip totals, achieved CI and every metric — is
+// byte-identical on every execution, exactly like detailed runs.
 func TestSampledRunRepeatable(t *testing.T) {
-	a := resultDigest(t, mustRun(t, sampledCfg(1)))
-	b := resultDigest(t, mustRun(t, sampledCfg(1)))
-	if a != b {
+	res := mustRun(t, sampledCfg())
+	if res.Sample.Windows < 3 || res.Sample.SkippedRefs == 0 {
+		t.Fatalf("sampling did not engage: %+v", res.Sample)
+	}
+	t.Logf("sample: %+v", res.Sample)
+	if resultDigest(t, res) != resultDigest(t, mustRun(t, sampledCfg())) {
 		t.Fatal("sampled run is not repeatable for a fixed seed and window config")
 	}
 }
@@ -99,7 +77,7 @@ func TestSampleConfigDefaults(t *testing.T) {
 // TestSampleValidation checks that configurations the engine cannot run
 // soundly are rejected up front.
 func TestSampleValidation(t *testing.T) {
-	base := sampledCfg(1)
+	base := sampledCfg()
 	for name, mutate := range map[string]func(*Config){
 		"rebalance": func(c *Config) { c.RebalanceCycles = 10_000 },
 		"snapshot":  func(c *Config) { c.SnapshotRefs = 1_000 },
@@ -184,10 +162,6 @@ func newWarmSystem(t *testing.T, cfg Config) *System {
 			sys.pending[c] = true
 		}
 	}
-	if sys.shard != nil {
-		sys.shard.start(sys)
-		t.Cleanup(sys.shard.stop)
-	}
 	sys.runUntil(cfg.WarmupRefs)
 	return sys
 }
@@ -199,26 +173,23 @@ func newWarmSystem(t *testing.T, cfg Config) *System {
 // memory-controller and mesh counters, scheduler state, per-core
 // reference budgets, measurement counters — may move.
 func TestFastForwardNoTimingLeak(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		cfg := sampledCfg(shards)
-		sys := newWarmSystem(t, cfg)
+	sys := newWarmSystem(t, sampledCfg())
 
-		before := snapshotTiming(t, sys)
-		sys.fastForward(10_000)
-		after := snapshotTiming(t, sys)
-		after.Now = before.Now // compared explicitly below
+	before := snapshotTiming(t, sys)
+	sys.fastForward(10_000)
+	after := snapshotTiming(t, sys)
+	after.Now = before.Now // compared explicitly below
 
-		if sys.now != before.Now {
-			t.Errorf("shards=%d: fast-forward advanced simulated time %d -> %d", shards, before.Now, sys.now)
-		}
-		bb, _ := json.Marshal(before)
-		ab, _ := json.Marshal(after)
-		if string(bb) != string(ab) {
-			t.Errorf("shards=%d: fast-forward leaked into timing state:\nbefore %s\nafter  %s", shards, bb, ab)
-		}
-		if sys.sample.SkippedRefs != 10_000 {
-			t.Errorf("shards=%d: SkippedRefs = %d, want 10000", shards, sys.sample.SkippedRefs)
-		}
+	if sys.now != before.Now {
+		t.Errorf("fast-forward advanced simulated time %d -> %d", before.Now, sys.now)
+	}
+	bb, _ := json.Marshal(before)
+	ab, _ := json.Marshal(after)
+	if string(bb) != string(ab) {
+		t.Errorf("fast-forward leaked into timing state:\nbefore %s\nafter  %s", bb, ab)
+	}
+	if sys.sample.SkippedRefs != 10_000 {
+		t.Errorf("SkippedRefs = %d, want 10000", sys.sample.SkippedRefs)
 	}
 }
 
@@ -226,7 +197,7 @@ func TestFastForwardNoTimingLeak(t *testing.T) {
 // same steady-state allocation budget as the detailed engine: once warm,
 // a window + fast-forward round trip must not allocate per reference.
 func TestSampledSteadyStateAllocBudget(t *testing.T) {
-	cfg := sampledCfg(1)
+	cfg := sampledCfg()
 	cfg.Obs = obs.NewObserver(nil, nil, nil).Hooks()
 	sys := newWarmSystem(t, cfg)
 
@@ -268,7 +239,7 @@ func TestWarmingAllocBudgetWithTelemetry(t *testing.T) {
 	ob := obs.NewObserver(nil, nil, nil)
 	ob.TS = ts
 
-	cfg := sampledCfg(1)
+	cfg := sampledCfg()
 	cfg.Obs = ob.Hooks()
 	sys := newWarmSystem(t, cfg)
 

@@ -115,11 +115,6 @@ type System struct {
 	// specific terms are folded in from the engines at run end.
 	phaseProf obs.PhaseProfile
 
-	// shard is the intra-run parallel engine (cfg.Shards > 1); nil runs
-	// the sequential loop. See shard.go for why the workers carry only
-	// functional work and results stay bit-identical.
-	shard *shardEngine
-
 	// pdes is the split-transaction parallel engine (cfg.Pdes > 1); nil
 	// runs the sequential loop. See pdes.go for the window protocol and
 	// why results are equivalence-gated rather than bit-identical.
@@ -273,9 +268,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.RebalanceCycles > 0 {
 		s.nextRebalance = cfg.RebalanceCycles
 		s.rebalanceSeed = cfg.Seed ^ 0xd15c
-	}
-	if cfg.Shards > 1 {
-		s.shard = newShardEngine(s)
 	}
 	if cfg.Pdes > 1 {
 		s.pdes = newPdesEngine(s)
@@ -444,14 +436,6 @@ func (s *System) Run() (Result, error) {
 		lane = h.RunStart(s.cfg.Label())
 		defer h.RunEnd(lane)
 	}
-	if s.shard != nil {
-		if h != nil {
-			s.shard.attachTracer(h.Tr)
-			h.SetShards(s.shard.stats.Shards, s.shard.stats.Workers)
-		}
-		s.shard.start(s)
-		defer s.shard.stop()
-	}
 	if s.pdes != nil {
 		if h != nil {
 			s.pdes.attachTracer(h.Tr)
@@ -554,7 +538,6 @@ func (s *System) Run() (Result, error) {
 		WallSeconds:     s.simSeconds,
 		Config:          s.cfg,
 		Cycles:          window,
-		Shard:           s.shardStats(),
 		Pdes:            s.pdesStats(),
 		Sample:          s.sample,
 		Phase:           s.phaseProf,
@@ -605,7 +588,6 @@ func (s *System) foldPhaseProfile() {
 		p.PdesStallSeconds = e.stats.StallSeconds
 		p.PdesReplayParallelSeconds = e.stats.ReplayParallelSeconds
 		p.PdesReplayMergeSeconds = e.stats.ReplayMergeSeconds
-		p.PdesPipelineOverlapSec = e.stats.PipelineOverlapSeconds
 		for i, d := range e.domains {
 			p.Domains = append(p.Domains, obs.DomainPhase{
 				Domain:      i,
@@ -616,12 +598,6 @@ func (s *System) foldPhaseProfile() {
 			})
 		}
 		p.PdesApplyOpsByGroup = append(p.PdesApplyOpsByGroup, e.applyByGroup...)
-	}
-	if e := s.shard; e != nil {
-		p.LaneBusySeconds = make([]float64, len(e.laneNanos))
-		for w := range e.laneNanos {
-			p.LaneBusySeconds[w] = float64(e.laneNanos[w].Load()) / 1e9
-		}
 	}
 }
 
@@ -636,28 +612,6 @@ func (s *System) runUntil(target uint64) {
 	s.simSeconds += time.Since(start).Seconds()
 }
 
-// refSource abstracts where the event loop gets its two per-event
-// functional inputs: the next workload reference and the think-time
-// draw. liveSource computes them inline (the sequential engine);
-// shardSource (shard.go) serves them from worker-prepared batches. The
-// type parameter on runLoopSrc monomorphizes both, so the sequential
-// loop compiles to exactly the code it was before the split.
-type refSource interface {
-	next(s *System, run runnable) workload.Access
-	think(s *System, c, vmID int) uint64
-}
-
-// liveSource computes references and think times inline.
-type liveSource struct{}
-
-func (liveSource) next(s *System, run runnable) workload.Access {
-	return s.vms[run.vmID].Gen.Next(run.thread)
-}
-
-func (liveSource) think(s *System, c, vmID int) uint64 {
-	return s.cores[c].rng.Uint64n(s.thinkOf[vmID])
-}
-
 // runLoop is runUntil's event loop, separated so the wall-clock
 // accounting wraps exactly the simulation work.
 func (s *System) runLoop(target uint64) {
@@ -665,16 +619,6 @@ func (s *System) runLoop(target uint64) {
 		s.pdes.runUntil(target)
 		return
 	}
-	if s.shard != nil {
-		runLoopSrc(s, target, shardSource{s.shard})
-		return
-	}
-	runLoopSrc(s, target, liveSource{})
-}
-
-// runLoopSrc is the engine-agnostic event loop; src supplies the
-// functional plane, everything timing-visible happens here in pop order.
-func runLoopSrc[S refSource](s *System, target uint64, src S) {
 	dynamic := s.cfg.RebalanceCycles > 0
 	remaining := 0
 	for c := range s.cores {
@@ -708,7 +652,7 @@ func runLoopSrc[S refSource](s *System, target uint64, src S) {
 		run := cs.queue[cs.cur]
 		m := s.vms[run.vmID]
 
-		acc := src.next(s, run)
+		acc := m.Gen.Next(run.thread)
 		m.Touch(acc.Block)
 		addr := m.AddrOf(acc.Block)
 		missesBefore := m.Stats.LLCMisses
@@ -732,7 +676,7 @@ func runLoopSrc[S refSource](s *System, target uint64, src S) {
 		if cs.refs == target {
 			remaining--
 		}
-		next := s.now + lat + sim.Cycle(src.think(s, c, run.vmID))
+		next := s.now + lat + sim.Cycle(cs.rng.Uint64n(s.thinkOf[run.vmID]))
 		// Over-commit: rotate the runnable at timeslice expiry, paying
 		// the hypervisor switch cost.
 		if len(cs.queue) > 1 && next >= cs.sliceEnd {
@@ -895,24 +839,12 @@ func (s *System) publishLive() {
 	h.SetDirectory(uint64(s.dir.Len()), s.dirCache.Hits, s.dirCache.Misses)
 	h.SetMemory(s.mem.Reads, s.mem.Writebacks, uint64(s.mem.WaitSum), s.mem.QueueDepth(s.now))
 	h.SetEventQueue(s.q.Len())
-	if e := s.shard; e != nil {
-		h.SetShardProgress(e.stats.Prefills, e.stats.SyncFills, e.stats.ThinkBatches, e.stats.Stalls)
-	}
 	if e := s.pdes; e != nil {
 		h.SetPdesProgress(e.stats.Windows, e.stats.Ops, e.stats.Stalls)
 	}
 	if s.rec != nil {
 		s.recordTS()
 	}
-}
-
-// shardStats returns the sharded engine's run accounting (zero value
-// for the sequential engine).
-func (s *System) shardStats() ShardStats {
-	if s.shard == nil {
-		return ShardStats{}
-	}
-	return s.shard.stats
 }
 
 // pdesStats returns the parallel engine's run accounting (zero value

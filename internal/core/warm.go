@@ -65,18 +65,13 @@ type warmCore struct {
 	l1   *cache.Cache
 	bank *cache.Cache // the core's group bank
 
-	// Ring-direct reference supply (sequential engine, statistical
-	// generator): ring aliases the generator's per-thread ring, whose
-	// backing array is stable across refills; pos mirrors the
-	// generator's cursor and is written back at loop exit.
+	// Ring-direct reference supply (statistical generator): ring aliases
+	// the generator's per-thread ring, whose backing array is stable
+	// across refills; pos mirrors the generator's cursor and is written
+	// back at loop exit.
 	gen  *workload.Generator // nil: fall back to the Source interface
 	ring []workload.Access
 	pos  int
-
-	// slot is the sharded engine's prefill slot for this thread (nil
-	// when the source has none); the warm loop keeps consuming through
-	// the prefill protocol so worker-computed batches stay bit-identical.
-	slot *prefillSlot
 
 	c      int
 	g      int // groupOf(c), hoisted (removes a division per miss)
@@ -127,11 +122,7 @@ func (s *System) warmSetup() {
 			thread: run.thread,
 			vtag:   uint8(run.vmID),
 		}
-		if s.shard != nil {
-			if si := s.shard.slotOf[run.vmID][run.thread]; si >= 0 {
-				wc.slot = &s.shard.slots[si]
-			}
-		} else if g, ok := m.Gen.(*workload.Generator); ok {
+		if g, ok := m.Gen.(*workload.Generator); ok {
 			wc.gen = g
 		}
 		s.warm = append(s.warm, wc)
@@ -157,59 +148,13 @@ func (s *System) warmForward(bud []uint64) {
 			wc.ring, wc.pos = wc.gen.WarmRing(wc.thread)
 		}
 	}
-	if s.shard != nil {
-		warmLoop(s, rounds, warmShardSource{s.shard})
-	} else {
-		warmLoop(s, rounds, warmLiveSource{})
-	}
+	warmLoop(s, rounds)
 	for i := range wcs {
 		wc := &wcs[i]
 		if wc.gen != nil {
 			wc.gen.WarmSetPos(wc.thread, wc.pos)
 		}
 	}
-}
-
-// warmSource supplies the next reference for a warming context. The two
-// implementations monomorphize warmLoop, mirroring refSource for the
-// detailed loop.
-type warmSource interface {
-	next(s *System, wc *warmCore) workload.Access
-}
-
-// warmLiveSource drains the generator ring directly (cold path: the
-// generator's own refill, so shared sampling cursors advance at exactly
-// the points the Next path would advance them), falling back to the
-// Source interface for non-generator sources.
-type warmLiveSource struct{}
-
-func (warmLiveSource) next(s *System, wc *warmCore) workload.Access {
-	if wc.gen == nil {
-		return wc.m.Gen.Next(wc.thread)
-	}
-	if wc.pos < len(wc.ring) {
-		a := wc.ring[wc.pos]
-		wc.pos++
-		return a
-	}
-	wc.pos = 1
-	return wc.gen.WarmRefill(wc.thread)
-}
-
-// warmShardSource keeps the sharded engine's prefill protocol live
-// during warming — batches stay worker-computed and adoption order stays
-// identical — with the slot pointer hoisted into the context.
-type warmShardSource struct{ e *shardEngine }
-
-func (ws warmShardSource) next(s *System, wc *warmCore) workload.Access {
-	sl := wc.slot
-	if sl == nil {
-		return wc.m.Gen.Next(wc.thread)
-	}
-	if a, ok := sl.g.NextOr(wc.thread); ok {
-		return a
-	}
-	return ws.e.refill(sl)
 }
 
 // warmLoop issues each context's budget spread evenly across the longest
@@ -219,7 +164,7 @@ func (ws warmShardSource) next(s *System, wc *warmCore) workload.Access {
 // context issues zero or one reference per round, and the accumulator
 // identity acc = i*bud mod rounds reproduces ffLoop's
 // (i+1)*bud/rounds - i*bud/rounds issue pattern exactly.
-func warmLoop[S warmSource](s *System, rounds uint64, src S) {
+func warmLoop(s *System, rounds uint64) {
 	wcs := s.warm
 	for i := uint64(0); i < rounds; i++ {
 		for j := range wcs {
@@ -229,7 +174,21 @@ func warmLoop[S warmSource](s *System, rounds uint64, src S) {
 				continue
 			}
 			wc.acc -= rounds
-			a := src.next(s, wc)
+			// Drain the generator ring directly; a drained ring refills
+			// through the generator's own cold path, so shared sampling
+			// cursors advance at exactly the points Next would advance
+			// them. Non-generator sources go through the Source interface.
+			var a workload.Access
+			switch {
+			case wc.gen == nil:
+				a = wc.m.Gen.Next(wc.thread)
+			case wc.pos < len(wc.ring):
+				a = wc.ring[wc.pos]
+				wc.pos++
+			default:
+				wc.pos = 1
+				a = wc.gen.WarmRefill(wc.thread)
+			}
 			// Lookahead prefetch: this context's next reference sits in
 			// the ring one full rotation (~all other cores' references)
 			// ahead of its use — far enough to hide a DRAM miss, near

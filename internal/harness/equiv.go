@@ -200,69 +200,31 @@ const DefaultPdesBound = 0.12
 // one.
 func CompareParallelRun(cfg core.Config, workers int, window sim.Cycle, bound float64) (RunComparison, error) {
 	seqCfg := cfg
-	seqCfg.Pdes, seqCfg.PdesWindow = 0, 0
-	seqCfg.PdesReplayWorkers, seqCfg.PdesPipeline = 0, false
+	seqCfg.Pdes, seqCfg.PdesWindow, seqCfg.PdesReplayWorkers = 0, 0, 0
 	parCfg := cfg
 	parCfg.Pdes, parCfg.PdesWindow = workers, window
-
-	var out RunComparison
-	for i, c := range []core.Config{seqCfg, parCfg} {
-		sys, err := core.NewSystem(c)
-		if err != nil {
-			return out, err
-		}
-		res, err := sys.Run()
-		if err != nil {
-			return out, err
-		}
-		if i == 0 {
-			out.Full = res
-		} else {
-			out.Sampled = res
-		}
-	}
-	if len(out.Full.VMs) != len(out.Sampled.VMs) {
-		return out, fmt.Errorf("harness: VM count mismatch %d vs %d", len(out.Full.VMs), len(out.Sampled.VMs))
-	}
-	for v := range out.Full.VMs {
-		f, s := out.Full.VMs[v], out.Sampled.VMs[v]
-		if f.Stats.Refs == 0 {
-			continue
-		}
-		d := VMDelta{
-			VM:   f.VM,
-			Name: f.Name,
-			Miss: relErr(s.MissRate(), f.MissRate()),
-			Cpt:  relErr(s.CyclesPerTx, f.CyclesPerTx),
-		}
-		out.Deltas = append(out.Deltas, d)
-		out.MaxRelErr = math.Max(out.MaxRelErr, math.Max(d.Miss, d.Cpt))
-	}
-	if bound <= 0 {
-		bound = DefaultPdesBound
-	}
-	out.Bound = bound
-	return out, nil
+	return comparePdesRuns(seqCfg, parCfg, bound)
 }
 
 // CompareShardedParallelRun executes cfg under the parallel engine
 // twice — once with the serial barrier replay, once with the replay
-// sharded across replayWorkers bank-group streams (and optionally the
-// window/replay pipeline) — and reports per-VM deviations against
-// bound (<= 0 selects DefaultPdesBound). Sharding alone is a pure
-// execution strategy, so without pipelining MaxRelErr must come back
-// exactly zero; with pipelining the one-window replica staleness is
-// judged like the engine itself. Full holds the serial-replay run,
-// Sampled the sharded one.
-func CompareShardedParallelRun(cfg core.Config, workers, replayWorkers int, pipeline bool, window sim.Cycle, bound float64) (RunComparison, error) {
+// sharded across replayWorkers bank-group streams — and reports per-VM
+// deviations against bound (<= 0 selects DefaultPdesBound). Sharding
+// is a pure execution strategy, so MaxRelErr must come back exactly
+// zero. Full holds the serial-replay run, Sampled the sharded one.
+func CompareShardedParallelRun(cfg core.Config, workers, replayWorkers int, window sim.Cycle, bound float64) (RunComparison, error) {
 	serCfg := cfg
-	serCfg.Pdes, serCfg.PdesWindow = workers, window
-	serCfg.PdesReplayWorkers, serCfg.PdesPipeline = 0, false
+	serCfg.Pdes, serCfg.PdesWindow, serCfg.PdesReplayWorkers = workers, window, 0
 	shCfg := serCfg
-	shCfg.PdesReplayWorkers, shCfg.PdesPipeline = replayWorkers, pipeline
+	shCfg.PdesReplayWorkers = replayWorkers
+	return comparePdesRuns(serCfg, shCfg, bound)
+}
 
+// comparePdesRuns executes base and alt and reports alt's per-VM metric
+// deviations from base against bound (<= 0 selects DefaultPdesBound).
+func comparePdesRuns(base, alt core.Config, bound float64) (RunComparison, error) {
 	var out RunComparison
-	for i, c := range []core.Config{serCfg, shCfg} {
+	for i, c := range []core.Config{base, alt} {
 		sys, err := core.NewSystem(c)
 		if err != nil {
 			return out, err
@@ -308,8 +270,7 @@ func CompareShardedParallelRun(cfg core.Config, workers, replayWorkers int, pipe
 // small-cell floor as the sampling comparison.
 func CompareParallelFigures(opt Options, workers int, window sim.Cycle, bound float64, ids []string) ([]FigureComparison, float64, error) {
 	seqOpt := opt
-	seqOpt.Pdes, seqOpt.PdesWindow = 0, 0
-	seqOpt.PdesReplayWorkers, seqOpt.PdesPipeline = 0, false
+	seqOpt.Pdes, seqOpt.PdesWindow, seqOpt.PdesReplayWorkers = 0, 0, 0
 	seqRun := NewRunner(seqOpt)
 	parOpt := opt
 	parOpt.Pdes, parOpt.PdesWindow = workers, window

@@ -66,20 +66,8 @@ func TestRunnerPdesOption(t *testing.T) {
 		t.Errorf("runner Pdes option did not reach a compatible config: %+v", res.Pdes)
 	}
 
-	// A sharded configuration already owns its engine choice; the runner
-	// must leave it sequential-semantics sharded, not error on the
-	// pdes/shards exclusion.
-	sharded := cfg
-	sharded.Shards = 2
-	res, err = r.simulate(sharded)
-	if err != nil {
-		t.Fatalf("sharded config under runner-wide pdes: %v", err)
-	}
-	if res.Pdes.Workers != 0 {
-		t.Error("sharded config ran under pdes; it must keep the shard engine")
-	}
-
-	// Sampled configurations are likewise skipped rather than rejected.
+	// A sampled configuration already owns its engine choice; the runner
+	// must skip it rather than error on the pdes/sample exclusion.
 	sampled := cfg
 	sampled.Sample = core.SampleConfig{WindowRefs: 2_000, FFRatio: 3, MaxRefs: 10_000}
 	res, err = r.simulate(sampled)
@@ -116,45 +104,30 @@ func TestRunnerPdesClampsWorkers(t *testing.T) {
 }
 
 // TestShardedReplayEquivalence gates the bank-sharded replay at harness
-// level: without pipelining the sharded run must match the serial-
-// replay run EXACTLY (zero deviation — sharding is execution strategy,
-// not a model change); with pipelining the one-window staleness must
-// stay inside DefaultPdesBound.
+// level: the sharded run must match the serial-replay run EXACTLY (zero
+// deviation — sharding is execution strategy, not a model change).
 func TestShardedReplayEquivalence(t *testing.T) {
 	seeds := []uint64{1, 7}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		cmp, err := CompareShardedParallelRun(equivCfg(seed), 4, 4, false, 0, 0)
+		cmp, err := CompareShardedParallelRun(equivCfg(seed), 4, 4, 0, 0)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if ps := cmp.Sampled.Pdes; ps.ReplayWorkers != 4 || ps.Pipelined {
+		if ps := cmp.Sampled.Pdes; ps.ReplayWorkers != 4 {
 			t.Fatalf("seed %d: sharded replay did not engage: %+v", seed, ps)
 		}
 		if cmp.MaxRelErr != 0 {
 			t.Errorf("seed %d: sharded replay deviates from serial replay: %.6f (must be exactly 0)",
 				seed, cmp.MaxRelErr)
 		}
-
-		pcmp, err := CompareShardedParallelRun(equivCfg(seed), 4, 4, true, 0, 0)
-		if err != nil {
-			t.Fatalf("seed %d pipelined: %v", seed, err)
-		}
-		if ps := pcmp.Sampled.Pdes; !ps.Pipelined {
-			t.Fatalf("seed %d: pipeline did not engage: %+v", seed, ps)
-		}
-		t.Logf("seed %d: pipelined maxRelErr=%.4f bound=%.3f", seed, pcmp.MaxRelErr, pcmp.Bound)
-		if !pcmp.Within() {
-			t.Errorf("seed %d: pipelined deviation %.3f exceeds bound %.3f",
-				seed, pcmp.MaxRelErr, pcmp.Bound)
-		}
 	}
 }
 
-// TestRunnerPdesReplayOption checks the runner-wide replay knobs: they
-// ride along only when the runner's Pdes option engages, and a config
+// TestRunnerPdesReplayOption checks the runner-wide replay knob: it
+// rides along only when the runner's Pdes option engages, and a config
 // that owns its replay setting keeps it.
 func TestRunnerPdesReplayOption(t *testing.T) {
 	r := NewRunner(Options{
@@ -164,7 +137,6 @@ func TestRunnerPdesReplayOption(t *testing.T) {
 		Seed:              1,
 		Pdes:              4,
 		PdesReplayWorkers: 4,
-		PdesPipeline:      true,
 	})
 
 	cfg := equivCfg(1)
@@ -173,12 +145,11 @@ func TestRunnerPdesReplayOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pdes.ReplayWorkers != 4 || !res.Pdes.Pipelined {
+	if res.Pdes.ReplayWorkers != 4 {
 		t.Errorf("runner replay options did not reach the config: %+v", res.Pdes)
 	}
 
-	// A config that pins its own replay worker count keeps it, and the
-	// pipeline flag does not ride along against its choice.
+	// A config that pins its own replay worker count keeps it.
 	own := cfg
 	own.Pdes = 4
 	own.PdesReplayWorkers = 2
@@ -186,7 +157,7 @@ func TestRunnerPdesReplayOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pdes.ReplayWorkers != 2 || res.Pdes.Pipelined {
+	if res.Pdes.ReplayWorkers != 2 {
 		t.Errorf("explicit replay config overridden: %+v", res.Pdes)
 	}
 

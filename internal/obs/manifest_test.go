@@ -25,9 +25,9 @@ func TestManifestRoundTrip(t *testing.T) {
 			GroupSize: 16, Policy: "rr", Scale: 4, Seed: 7,
 			WarmupRefs: 1000, MeasureRefs: 2000, SnapshotRefs: 500,
 			Replicates: 3, Refs: 96000, Cycles: 654321, WallSeconds: 1.5,
-			Parallel: 4,
-			Shards:   4, ShardPrefills: 1200, ShardSyncFills: 31,
-			ShardThinkBatches: 900, ShardStalls: 17, ShardStallSeconds: 0.004,
+			Parallel:    4,
+			PdesWorkers: 4, PdesDomains: 4, PdesReplayWorkers: 4,
+			PdesStalls: 17, PdesStallSeconds: 0.004,
 		},
 	}
 	for _, m := range in {
@@ -127,6 +127,61 @@ func TestReadManifestsBackwardCompat(t *testing.T) {
 	}
 	if m.Version != 0 || m.GOMAXPROCS != 0 || m.NumCPU != 0 || m.Phase != nil || m.Timeseries != "" {
 		t.Fatalf("old record grew phantom v2 fields: %+v", m)
+	}
+}
+
+// TestReadManifestsRemovedEngineFields decodes a v2 line written while
+// the sharded engine and the pdes pipeline existed: its shard_* fields,
+// the phase profile's lane_busy_seconds and pipeline overlap, and
+// pdes_pipelined must not stop manifests already on disk from loading
+// for cmd/obs report and diff.
+func TestReadManifestsRemovedEngineFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v2.jsonl")
+	line := `{"version":2,"time":"2026-09-01T00:00:00Z","tool":"consim v0.9","go_version":"go1.24",` +
+		`"gomaxprocs":2,"num_cpu":2,"label":"TPC-W+SPECjbb+TPC-H+SPECweb shared-4-way/affinity 1/16",` +
+		`"workloads":["TPC-W","SPECjbb","TPC-H","SPECweb"],"group_size":4,"policy":"affinity",` +
+		`"scale":16,"seed":1,"warmup_refs":50000,"measure_refs":200000,"replicates":1,` +
+		`"refs":3200000,"cycles":9876543,"wall_seconds":2.5,"cpu_seconds":4.1,"parallel":1,` +
+		`"shards":2,"shard_prefills":1200,"shard_sync_fills":31,"shard_think_batches":900,` +
+		`"shard_stalls":17,"shard_stall_seconds":0.004,` +
+		`"pdes_workers":2,"pdes_domains":2,"pdes_windows":40,"pdes_ops":5000,` +
+		`"pdes_apply_seconds":0.5,"pdes_replay_workers":2,"pdes_pipelined":true,` +
+		`"phase":{"warmup_seconds":0.5,"measure_seconds":2.0,"pdes_window_seconds":1.6,` +
+		`"pdes_replay_seconds":0.5,"pdes_barrier_seconds":0.3,"pdes_replay_parallel_seconds":0.2,` +
+		`"pdes_replay_merge_seconds":0.1,"pdes_pipeline_overlap_seconds":0.05,` +
+		`"lane_busy_seconds":[0.4,0.3]}}` + "\n"
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ms, err := ReadManifests(path)
+	if err != nil {
+		t.Fatalf("manifest with removed engine fields failed to read: %v", err)
+	}
+	if len(ms) != 1 {
+		t.Fatalf("read %d records, want 1", len(ms))
+	}
+	m := ms[0]
+	if m.Version != 2 || m.Refs != 3200000 || m.PdesWorkers != 2 || m.PdesReplayWorkers != 2 {
+		t.Fatalf("record mangled: %+v", m)
+	}
+	if m.Phase == nil || m.Phase.Engine() != "pdes" || m.Phase.PdesReplayMergeSeconds != 0.1 {
+		t.Fatalf("phase profile mangled: %+v", m.Phase)
+	}
+	var report strings.Builder
+	WritePhaseReport(&report, m, nil)
+	if !strings.Contains(report.String(), "cross-group deferred merge") {
+		t.Errorf("phase report lost the replay decomposition:\n%s", report.String())
+	}
+
+	sums, kind, err := ReadRunSummaries(path)
+	if err != nil {
+		t.Fatalf("ReadRunSummaries: %v", err)
+	}
+	if kind != "manifest" || len(sums) != 1 {
+		t.Fatalf("ReadRunSummaries = %d records of kind %q, want 1 manifest", len(sums), kind)
+	}
+	if s := sums[0]; s.RefsPerSec != 3200000/2.5 || s.ApplyFraction <= 0 {
+		t.Errorf("summary = %+v", s)
 	}
 }
 

@@ -257,9 +257,6 @@ type SimMetrics struct {
 	OccVM                      [MaxVMGauges]ID
 	// Latency distribution of private-cache misses.
 	MissLatency ID
-	// Sharded intra-run engine (zero / idle under the sequential engine).
-	ShardWorkers, ShardPrefills, ShardSyncFills ID
-	ShardThinkBatches, ShardStalls              ID
 	// Interval-sampling engine (zero / idle under detailed runs). The
 	// relative CI is published in parts-per-million so the integer slot
 	// carries the convergence signal losslessly enough for live display.
@@ -267,12 +264,12 @@ type SimMetrics struct {
 	SampleSkippedRefs, SampleRelCIPPM ID
 	// Split-transaction parallel engine (zero / idle under the
 	// sequential engine).
-	PdesWorkers, PdesDomains      ID
+	PdesWorkers, PdesDomains         ID
 	PdesWindows, PdesOps, PdesStalls ID
 	// Phase decomposition (microseconds), published once per run end.
-	PhaseWarmupMicros, PhaseMeasureMicros              ID
+	PhaseWarmupMicros, PhaseMeasureMicros                 ID
 	PdesWindowMicros, PdesReplayMicros, PdesBarrierMicros ID
-	SampleDetailedMicros, SampleFFMicros               ID
+	SampleDetailedMicros, SampleFFMicros                  ID
 	// Runner bookkeeping.
 	Sims, Jobs ID
 }
@@ -301,12 +298,6 @@ func RegisterSimMetrics(reg *Registry) *SimMetrics {
 		MissLatency:    reg.HistogramID("miss_latency_cycles", "private-miss service latency"),
 		Sims:           reg.CounterID("runner_sims_total", "simulations actually executed"),
 		Jobs:           reg.CounterID("runner_jobs_total", "runner jobs completed"),
-
-		ShardWorkers:      reg.GaugeID("shard_workers", "intra-run worker lanes (0 = sequential engine)"),
-		ShardPrefills:     reg.GaugeID("shard_prefills", "reference batches adopted from workers"),
-		ShardSyncFills:    reg.GaugeID("shard_sync_fills", "reference batches filled inline on the spine"),
-		ShardThinkBatches: reg.GaugeID("shard_think_batches", "think-time batches adopted from workers"),
-		ShardStalls:       reg.GaugeID("shard_stalls", "batch adoptions that waited on an unready worker"),
 
 		SampleWindows:      reg.GaugeID("sample_windows", "detailed windows simulated (0 = detailed run)"),
 		SampleDetailedRefs: reg.GaugeID("sample_detailed_refs", "per-core references measured in detail"),

@@ -212,22 +212,6 @@ func (h *RunHooks) SetMemory(reads, writebacks, waitCycles uint64, queueDepth in
 // SetEventQueue publishes the simulator event queue length.
 func (h *RunHooks) SetEventQueue(n int) { h.Sh.Set(h.M.EventQueueLen, uint64(n)) }
 
-// SetShards publishes the sharded engine's worker lane count (zero for
-// the sequential engine).
-func (h *RunHooks) SetShards(shards, workers int) {
-	h.Sh.Set(h.M.ShardWorkers, uint64(workers))
-}
-
-// SetShardProgress publishes the sharded engine's running batch and
-// stall totals, on the same live cadence as the core counters.
-func (h *RunHooks) SetShardProgress(prefills, syncFills, thinkBatches, stalls uint64) {
-	sh, m := h.Sh, h.M
-	sh.Set(m.ShardPrefills, prefills)
-	sh.Set(m.ShardSyncFills, syncFills)
-	sh.Set(m.ShardThinkBatches, thinkBatches)
-	sh.Set(m.ShardStalls, stalls)
-}
-
 // SetSampleProgress publishes the interval-sampling engine's window and
 // coverage totals plus the live convergence signal (worst per-VM
 // relative CI, scaled to parts per million), once per detailed window.

@@ -31,14 +31,11 @@ type PhaseProfile struct {
 	PdesStallSeconds   float64 `json:"pdes_stall_seconds,omitempty"`
 	// Sharded-replay decomposition of PdesReplaySeconds (zero when the
 	// replay runs serially): ReplayParallel is the per-group parallel
-	// pass, ReplayMerge the serial cross-group deferred merge, and
-	// PipelineOverlap the subset of merge time that ran concurrently
-	// with the next window's in-window phase (-pdes-pipeline). The
+	// pass, ReplayMerge the serial cross-group deferred merge. The
 	// remaining replay residue (PdesReplaySeconds − parallel − merge)
 	// is the serial k-way op merge and directory pre-pass.
 	PdesReplayParallelSeconds float64 `json:"pdes_replay_parallel_seconds,omitempty"`
 	PdesReplayMergeSeconds    float64 `json:"pdes_replay_merge_seconds,omitempty"`
-	PdesPipelineOverlapSec    float64 `json:"pdes_pipeline_overlap_seconds,omitempty"`
 	// Domains is the per-domain breakdown of in-window work. On a
 	// multi-core host domains run concurrently, so busy seconds sum to
 	// more than PdesWindowSeconds; the ratio is the achieved overlap.
@@ -53,11 +50,6 @@ type PhaseProfile struct {
 	// vs. functional fast-forward.
 	SampleDetailedSeconds float64 `json:"sample_detailed_seconds,omitempty"`
 	SampleFFSeconds       float64 `json:"sample_ff_seconds,omitempty"`
-
-	// Sharded engine (-shards): per-worker-lane busy seconds (time
-	// spent executing prefill/think tasks). The spine's wait side is
-	// ShardStats.StallSeconds.
-	LaneBusySeconds []float64 `json:"lane_busy_seconds,omitempty"`
 }
 
 // DomainPhase is one pdes domain's share of the in-window work.
@@ -72,16 +64,14 @@ type DomainPhase struct {
 	BusySeconds float64 `json:"busy_seconds"`
 }
 
-// Engine names the engine the profile describes ("pdes", "sample",
-// "shard", or "" for the sequential engine).
+// Engine names the engine the profile describes ("pdes", "sample", or
+// "" for the sequential engine).
 func (p *PhaseProfile) Engine() string {
 	switch {
 	case len(p.Domains) > 0 || p.PdesWindowSeconds > 0:
 		return "pdes"
 	case p.SampleDetailedSeconds > 0 || p.SampleFFSeconds > 0:
 		return "sample"
-	case len(p.LaneBusySeconds) > 0:
-		return "shard"
 	}
 	return ""
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // oracleEvent orders by (time, push sequence): the FIFO-on-ties contract
-// the calendar queue documents and the cross-shard merge now leans on.
+// the calendar queue documents and the pdes op-log merge leans on.
 type oracleEvent struct {
 	at  Cycle
 	seq uint64
@@ -22,8 +22,8 @@ func (h oracleHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h oracleHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *oracleHeap) Push(x any)        { *h = append(*h, x.(oracleEvent)) }
+func (h oracleHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *oracleHeap) Push(x any)   { *h = append(*h, x.(oracleEvent)) }
 func (h *oracleHeap) Pop() any {
 	old := *h
 	n := len(old)

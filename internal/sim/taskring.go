@@ -3,7 +3,7 @@ package sim
 import "sync/atomic"
 
 // TaskRing is a bounded single-producer single-consumer queue of small
-// task handles, the spine→worker channel of the sharded engine. The hot
+// task handles, the spine→worker channel of the -pdes engine. The hot
 // path is two atomic loads and one atomic store per side; when the ring
 // runs dry the consumer parks on a channel instead of spinning, so on a
 // machine with fewer CPUs than lanes an idle worker costs nothing — the
@@ -11,9 +11,9 @@ import "sync/atomic"
 //
 // Capacity is fixed at construction and must exceed the maximum number
 // of in-flight tasks the producer posts (the engine bounds this by
-// construction: at most one prefill per workload thread plus one think
-// batch per core). Push never blocks and panics on overflow, which would
-// be an engine bug rather than backpressure.
+// construction: one window or replay task per worker at a time). Push
+// never blocks and panics on overflow, which would be an engine bug
+// rather than backpressure.
 type TaskRing struct {
 	buf  []uint32
 	mask uint64

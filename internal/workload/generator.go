@@ -212,10 +212,8 @@ func (g *Generator) WarmSetPos(t, pos int) { g.ringPos[t] = pos }
 // exported for the warming loop's direct-drain consumption.
 func (g *Generator) WarmRefill(t int) Access { return g.refill(t) }
 
-// threadGenState bundles every per-thread mutable the sampler walks, so
-// one batch can be computed either in place (the synchronous refill) or
-// against a snapshot on another goroutine (the sharded engine's prefill)
-// from the exact same code path.
+// threadGenState bundles every per-thread mutable the sampler walks; a
+// batch loads it into locals, samples, and stores it back.
 type threadGenState struct {
 	rng       sim.RNG
 	mig       migRun
@@ -226,7 +224,7 @@ type threadGenState struct {
 }
 
 // loadThread / storeThread move thread t's sampler state between the
-// Generator arrays and a detached snapshot.
+// Generator arrays and a batch-local copy.
 func (g *Generator) loadThread(t int, st *threadGenState) {
 	st.rng = g.rngs[t]
 	st.mig = g.mig[t]
@@ -247,30 +245,26 @@ func (g *Generator) storeThread(t int, st *threadGenState) {
 
 // cursors abstracts the two generator-shared sampling cursors (the
 // collaborative scan and the shared-region cold sweep) out of the batch
-// loop. liveCursors advances them in place; deferredCursors (prefetch.go)
-// records placeholder positions to be patched when the batch is adopted
-// in stream order. The type parameter keeps both instantiations fully
-// inlined — the synchronous path compiles to the same loop it was before
-// the split.
+// loop. liveCursors advances them in place; detachedCursors advances one
+// thread's private replica (DetachCursors). The type parameter keeps both
+// instantiations fully inlined.
 type cursors interface {
-	// scan / cold return the Access for ring entry i; i lets a deferred
-	// sink remember which entries to patch and is ignored live.
-	scan(i int) Access
-	cold(i int) Access
+	scan() Access
+	cold() Access
 	steadyShared() bool
 }
 
 // liveCursors mutates the Generator's shared cursors directly.
 type liveCursors struct{ g *Generator }
 
-func (c liveCursors) scan(int) Access {
+func (c liveCursors) scan() Access {
 	g := c.g
 	g.scanCount++
 	pos := (g.scanCount / uint64(g.spec.ScanReadsPerBlock)) % g.lay.scanLen
 	return Access{Block: g.lay.scanBase + pos}
 }
 
-func (c liveCursors) cold(int) Access {
+func (c liveCursors) cold() Access {
 	g := c.g
 	pos := g.sharedCold % g.lay.sharedLen
 	g.sharedCold++
@@ -309,7 +303,7 @@ type detachedCursors struct {
 	t int
 }
 
-func (c detachedCursors) scan(int) Access {
+func (c detachedCursors) scan() Access {
 	g := c.g
 	n := g.detScan[c.t]
 	g.detScan[c.t]++
@@ -322,7 +316,7 @@ func (c detachedCursors) scan(int) Access {
 	return Access{Block: g.lay.scanBase + pos}
 }
 
-func (c detachedCursors) cold(int) Access {
+func (c detachedCursors) cold() Access {
 	g := c.g
 	pos := (g.detCold[c.t]*uint64(g.threads) + uint64(c.t)) % g.lay.sharedLen
 	g.detCold[c.t]++
@@ -349,10 +343,7 @@ func (g *Generator) fill(t int) {
 }
 
 // fillCore samples one batch of thread t's stream into ring, advancing st
-// and drawing shared-cursor positions through cur. It touches nothing on
-// g beyond immutable sampling parameters (spec, layout, Zipf tables), so
-// a deferred-cursor instantiation is safe to run off the owning
-// goroutine against a state snapshot.
+// and drawing shared-cursor positions through cur.
 func fillCore[C cursors](g *Generator, t int, st *threadGenState, ring []Access, cur C) {
 	r := &st.rng
 	lay := &g.lay
@@ -401,7 +392,7 @@ func fillCore[C cursors](g *Generator, t int, st *threadGenState, ring []Access,
 			// references (across all threads) land on the same block before
 			// the shared cursor advances, so trailing reads — usually by a
 			// different thread — hit the leader's cache.
-			ring[i] = cur.scan(i)
+			ring[i] = cur.scan()
 
 		case u < mix.pMig+mix.pScan+mix.pShared:
 			// Shared-read region: cold coverage sweep (fast on the first
@@ -411,7 +402,7 @@ func fillCore[C cursors](g *Generator, t int, st *threadGenState, ring []Access,
 				coldP = spec.SharedColdWarm
 			}
 			if r.Bool(coldP) {
-				ring[i] = cur.cold(i)
+				ring[i] = cur.cold()
 			} else {
 				b := g.zipfShared.Sample(r)
 				ring[i] = Access{Block: lay.sharedBase + b, Write: r.Bool(mix.writeFracShared)}

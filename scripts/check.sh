@@ -14,33 +14,33 @@ echo "== go build =="
 go build ./...
 
 echo "== go test -race =="
+tier1_log=$(mktemp /tmp/consim_tier1.XXXXXX.log)
 if [ "${FULL:-}" = "1" ]; then
-	go test -race ./...
+	go test -v -race ./... >"$tier1_log" || { cat "$tier1_log"; exit 1; }
 else
-	go test -race -short ./...
+	go test -v -race -short ./... >"$tier1_log" || { cat "$tier1_log"; exit 1; }
 fi
+grep -E '^(ok|FAIL)[[:space:]]' "$tier1_log" || true
+echo "== slowest tests =="
+# Per-test wall time keeps the tier-1 cost a tracked number.
+scripts/slowest_tests.sh 20 <"$tier1_log"
+rm -f "$tier1_log"
 
 echo "== allocation budgets =="
 # Steady-state simulation loop must not allocate (perf regression guard).
 # TestSteadyStateAllocBudget runs with live metrics AND a -timeseries
 # recorder attached, so the observability publish cadence is inside the
-# guarded path; the sharded variant holds the engine's worker lanes to
-# the same budget.
+# guarded path; the pdes variant holds the sharded barrier replay to the
+# same budget.
 go test -run 'TestSteadyStateAllocBudget' ./internal/core
-go test -run 'TestShardedSteadyStateAllocBudget' ./internal/core
 go test -run 'TestPdesShardedAllocBudget' ./internal/core
 go test -run 'TestDirectorySteadyStateAllocs' ./internal/coherence
 
-echo "== sharded engine smoke =="
-# The golden fixtures must reproduce bit-for-bit under -shards (the
-# parallel engine's central determinism claim).
-go test -run 'TestGoldenResults' ./internal/core -shards 2
-
 echo "== sampled engine smoke =="
 # Interval sampling must engage (the provenance line appears), stay
-# deterministic across shard counts, and leave detailed runs untouched
-# (golden fixtures above already pin the -sample-off path bit-for-bit).
-go test -run 'TestSampledDeterministicAcrossShards|TestFastForwardNoTimingLeak' ./internal/core
+# deterministic per seed, and leave detailed runs untouched (the golden
+# fixtures in the tier-1 run pin the -sample-off path bit-for-bit).
+go test -run 'TestSampledRunRepeatable|TestFastForwardNoTimingLeak' ./internal/core
 go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
 	-sample 1000 -sample-ci 0.2 | grep -q "sampled:" \
 	|| { echo "check.sh: sampled run produced no provenance line" >&2; exit 1; }
@@ -66,7 +66,7 @@ echo "== parallel (pdes) engine smoke =="
 # The split-transaction parallel engine must stay within the equivalence
 # bound of the sequential engine (single seed here; CI's nightly matrix
 # covers more), stay deterministic per seed, and leave -pdes-off runs
-# untouched (golden fixtures above pin the sequential path bit-for-bit).
+# untouched (the golden fixtures pin the sequential path bit-for-bit).
 go test -short -run 'TestPdesValidation|TestPdesDeterministic|TestPdesEquivalence' ./internal/core
 go test -short -run 'TestParallelEquivalence|TestRunnerPdesOption' ./internal/harness
 go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
@@ -75,12 +75,12 @@ go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
 
 echo "== sharded replay smoke =="
 # The bank-sharded barrier replay must stay bit-identical to the serial
-# replay, the pipelined variant deterministic, the merged memctrl order
-# exact, and the CLI knobs must engage (the provenance line says so).
-go test -short -run 'TestShardedReplayBitIdentical|TestPdesPipelineDeterministic|TestPdesReplayValidation' ./internal/core
+# replay, the merged memctrl order exact, and the CLI knobs must engage
+# (the provenance line says so).
+go test -short -run 'TestShardedReplayBitIdentical|TestPdesReplayValidation' ./internal/core
 go test -run 'TestShardedReplayMemctrlMerge' ./internal/memctrl
 go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
-	-pdes 4 -pdes-replay-workers 4 -pdes-pipeline | grep -q "sharded replay x4 pipelined" \
+	-pdes 4 -pdes-replay-workers 4 | grep -q "sharded replay x4" \
 	|| { echo "check.sh: sharded replay produced no provenance line" >&2; exit 1; }
 
 echo "== phase profiler smoke =="
