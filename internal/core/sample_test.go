@@ -42,17 +42,40 @@ func resultDigest(t *testing.T, res Result) string {
 	return string(buf)
 }
 
-// TestSampledRunRepeatable pins the sampling engine's determinism
-// contract: for a fixed (seed, window-config) pair the sampled result —
-// window count, skip totals, achieved CI and every metric — is
-// byte-identical on every execution, exactly like detailed runs.
-func TestSampledRunRepeatable(t *testing.T) {
-	res := mustRun(t, sampledCfg())
-	if res.Sample.Windows < 3 || res.Sample.SkippedRefs == 0 {
-		t.Fatalf("sampling did not engage: %+v", res.Sample)
+// TestSampledDeterministicAcrossShards pins the sampling engine's
+// determinism contract: for a fixed (seed, window-config) pair the
+// sampled result — window count, skip totals, achieved CI and every
+// metric — is identical however many host threads (GOMAXPROCS) the run
+// is given, exactly like detailed runs. Fast-forward consumes
+// references through the same source as the detailed loop and draws no
+// think times, so nothing host-side can reorder the reference stream.
+func TestSampledDeterministicAcrossShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want string
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		res := mustRun(t, sampledCfg())
+		if res.Sample.Windows < 3 || res.Sample.SkippedRefs == 0 {
+			t.Fatalf("GOMAXPROCS=%d: sampling did not engage: %+v", procs, res.Sample)
+		}
+		got := resultDigest(t, res)
+		if want == "" {
+			want = got
+			t.Logf("GOMAXPROCS=1 sample: %+v", res.Sample)
+			continue
+		}
+		if got != want {
+			t.Errorf("GOMAXPROCS=%d sampled result diverged from GOMAXPROCS=1", procs)
+		}
 	}
-	t.Logf("sample: %+v", res.Sample)
-	if resultDigest(t, res) != resultDigest(t, mustRun(t, sampledCfg())) {
+}
+
+// TestSampledRunRepeatable pins run-to-run determinism: the same sampled
+// configuration produces byte-identical results on every execution.
+func TestSampledRunRepeatable(t *testing.T) {
+	a := resultDigest(t, mustRun(t, sampledCfg()))
+	b := resultDigest(t, mustRun(t, sampledCfg()))
+	if a != b {
 		t.Fatal("sampled run is not repeatable for a fixed seed and window config")
 	}
 }
